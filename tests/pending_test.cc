@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/promise_manager.h"
 #include "protocol/transport.h"
@@ -260,7 +262,11 @@ TEST_F(PendingTest, WirePendingRoundTripsThroughXml) {
 TEST_F(PendingTest, ConcurrentQueueAndReleaseKeepsBooks) {
   // Hammer the queue from several threads while a releaser frees
   // capacity; afterwards every ticket must resolve and the books must
-  // balance.
+  // balance. The contract is docs/PROTOCOL.md's: "the client <poll>s
+  // until it resolves". Ticket numbers interleave across threads in no
+  // fixed order, so one pass in thread order may poll a ticket that a
+  // later release grants; the test therefore polls every outstanding
+  // ticket round after round until none is left.
   auto held = Queue(alice_, 10);
   ASSERT_TRUE(held.ok() && held->outcome.accepted);
   constexpr int kThreads = 4;
@@ -283,19 +289,32 @@ TEST_F(PendingTest, ConcurrentQueueAndReleaseKeepsBooks) {
   for (auto& t : threads) t.join();
   // Free the blocker: all queued tickets become grantable.
   ASSERT_TRUE(pm_->Release(alice_, {held->outcome.promise_id}).ok());
-  size_t resolved = 0;
+  std::vector<std::pair<ClientId, PromiseManager::PendingTicket>> outstanding;
   for (int t = 0; t < kThreads; ++t) {
     ClientId me = pm_->ClientFor("q-" + std::to_string(t));
-    for (auto ticket : tickets[t]) {
+    for (auto ticket : tickets[t]) outstanding.emplace_back(me, ticket);
+  }
+  const size_t total_queued = outstanding.size();
+  size_t resolved = 0;
+  while (!outstanding.empty()) {
+    std::vector<std::pair<ClientId, PromiseManager::PendingTicket>> queued;
+    for (auto [me, ticket] : outstanding) {
       auto poll = pm_->PollPending(me, ticket);
       ASSERT_TRUE(poll.ok());
-      if (!poll->queued && poll->outcome.accepted) {
+      if (poll->queued) {
+        queued.emplace_back(me, ticket);
+      } else if (poll->outcome.accepted) {
         ++resolved;
         (void)pm_->Release(me, {poll->outcome.promise_id});
       }
     }
+    // Each round resolves at least one ticket, or the queue has stopped
+    // draining and polling again would never end.
+    ASSERT_GT(outstanding.size(), queued.size());
+    outstanding = std::move(queued);
   }
-  EXPECT_GT(resolved, 0u);
+  EXPECT_EQ(resolved, total_queued);
+  EXPECT_EQ(pm_->pending_requests(), 0u);
   EXPECT_EQ(pm_->active_promises(), 0u);
 }
 
