@@ -47,6 +47,20 @@ struct FromTextCase {
   ValueType type;
 };
 
+// Prints a case as "<type>_from_<text>", spaces as %20. Without it gtest
+// prints the raw struct bytes, the text pointer among them, and the test
+// names that ctest derives from the printed value change with every build.
+void PrintTo(const FromTextCase& c, std::ostream* os) {
+  *os << ValueTypeToString(c.type) << "_from_";
+  for (const char* p = c.text; *p != '\0'; ++p) {
+    if (*p == ' ') {
+      *os << "%20";
+    } else {
+      *os << *p;
+    }
+  }
+}
+
 class ValueFromTextTest : public ::testing::TestWithParam<FromTextCase> {};
 
 TEST_P(ValueFromTextTest, ParsesToExpectedType) {
