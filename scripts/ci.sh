@@ -2,7 +2,8 @@
 # CI entry point: tier-1 verify plus sanitizer configurations.
 #
 # Usage:
-#   scripts/ci.sh            # tier-1 (default preset) only
+#   scripts/ci.sh            # tier-1 (default preset) only: every test
+#                            # three times, shuffled, on all cores
 #   scripts/ci.sh all        # tier-1 + asan/ubsan + tsan + chaos
 #   scripts/ci.sh asan       # asan/ubsan configuration only
 #   scripts/ci.sh tsan       # tsan configuration (concurrency tests only)
@@ -189,9 +190,13 @@ run_sharding() {
     tee build/check_bench_sharding.log
 }
 
+# Tier-1 runs every test three times in a shuffled order across all
+# cores, so a bug that depends on scheduling or test order shows here.
+TIER1_CTEST_ARGS=(--repeat until-fail:3 --schedule-random)
+
 case "${MODE}" in
   default)
-    run_preset default
+    run_preset default "${TIER1_CTEST_ARGS[@]}"
     ;;
   asan)
     run_preset asan
@@ -224,7 +229,7 @@ case "${MODE}" in
     run_lint
     ;;
   all)
-    run_preset default
+    run_preset default "${TIER1_CTEST_ARGS[@]}"
     run_preset asan
     run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant'
     run_chaos

@@ -5,10 +5,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/string_util.h"
+#include "core/command_record.h"
 #include "core/promise_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -76,78 +76,6 @@ Status SyncFileAndDir(const std::string& path) {
   }
   ::close(dfd);
   return Status::OK();
-}
-
-void EncodeU64(std::string* out, uint64_t v) {
-  EncodeField(out, std::to_string(v));
-}
-
-void EncodeI64(std::string* out, int64_t v) {
-  EncodeField(out, std::to_string(v));
-}
-
-Result<int64_t> DecodeI64(std::string_view* cursor) {
-  PROMISES_ASSIGN_OR_RETURN(std::string field, DecodeField(cursor));
-  return ParseInt64(field);
-}
-
-Result<uint64_t> DecodeU64(std::string_view* cursor) {
-  PROMISES_ASSIGN_OR_RETURN(int64_t v, DecodeI64(cursor));
-  if (v < 0) return Status::DataLoss("negative value in checkpoint field");
-  return static_cast<uint64_t>(v);
-}
-
-// Values carry an explicit type tag so restore never depends on the
-// lossy textual heuristics of Value::FromText (a *string* property
-// that happens to look like a number must stay a string).
-void EncodeValue(std::string* out, const Value& v) {
-  std::string repr;
-  switch (v.type()) {
-    case ValueType::kBool:
-      repr = v.as_bool() ? "b:1" : "b:0";
-      break;
-    case ValueType::kInt:
-      repr = "i:" + std::to_string(v.as_int());
-      break;
-    case ValueType::kDouble: {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "d:%.17g", v.as_double());
-      repr = buf;
-      break;
-    }
-    case ValueType::kString:
-      repr = "s:" + v.as_string();
-      break;
-  }
-  EncodeField(out, repr);
-}
-
-Result<Value> DecodeValue(std::string_view* cursor) {
-  std::string field;
-  PROMISES_ASSIGN_OR_RETURN(field, DecodeField(cursor));
-  if (field.size() < 2 || field[1] != ':') {
-    return Status::DataLoss("malformed value field in checkpoint");
-  }
-  std::string body = field.substr(2);
-  switch (field[0]) {
-    case 'b':
-      return Value(body == "1");
-    case 'i': {
-      PROMISES_ASSIGN_OR_RETURN(int64_t i, ParseInt64(body));
-      return Value(i);
-    }
-    case 'd': {
-      char* end = nullptr;
-      double d = std::strtod(body.c_str(), &end);
-      if (end == body.c_str() || *end != '\0') {
-        return Status::DataLoss("malformed double in checkpoint: " + body);
-      }
-      return Value(d);
-    }
-    case 's':
-      return Value(std::move(body));
-  }
-  return Status::DataLoss("unknown value type tag in checkpoint: " + field);
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {

@@ -1,6 +1,7 @@
 #include "core/oplog.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -84,16 +85,16 @@ uint32_t FnvFold(uint32_t sum, std::string_view bytes) {
 
 enum class ParseStatus { kOk, kBadRecord, kSequenceRegression };
 
-// Parses one log line (either format) given the sequence of the
-// previous intact record.
+// Parses one "v2|" log line given the sequence of the previous intact
+// record.
 ParseStatus ParseLine(std::string_view line, uint64_t prev_sequence,
                       LogRecord* out) {
-  bool v2 = line.rfind("v2|", 0) == 0;
-  if (v2) line.remove_prefix(3);
-  size_t fields = v2 ? 5 : 3;  // separators before the payload
-  size_t cuts[5];
+  if (line.rfind("v2|", 0) != 0) return ParseStatus::kBadRecord;
+  line.remove_prefix(3);
+  constexpr size_t kFields = 5;  // separators before the payload
+  size_t cuts[kFields];
   size_t pos = 0;
-  for (size_t i = 0; i < fields; ++i) {
+  for (size_t i = 0; i < kFields; ++i) {
     pos = line.find('|', pos);
     if (pos == std::string_view::npos) return ParseStatus::kBadRecord;
     cuts[i] = pos++;
@@ -104,48 +105,33 @@ ParseStatus ParseLine(std::string_view line, uint64_t prev_sequence,
   };
   Result<int64_t> length = ParseInt64(field(0));
   Result<int64_t> checksum = ParseInt64(field(1));
-  if (!length.ok() || !checksum.ok()) return ParseStatus::kBadRecord;
-  std::string_view payload = line.substr(cuts[fields - 1] + 1);
+  Result<int64_t> sequence = ParseInt64(field(2));
+  Result<int64_t> timestamp = ParseInt64(field(3));
+  Result<int64_t> promise_id = ParseInt64(field(4));
+  if (!length.ok() || !checksum.ok() || !sequence.ok() || !timestamp.ok() ||
+      !promise_id.ok()) {
+    return ParseStatus::kBadRecord;
+  }
+  std::string_view payload = line.substr(cuts[kFields - 1] + 1);
   if (static_cast<int64_t>(payload.size()) != *length) {
     return ParseStatus::kBadRecord;
   }
   std::string body(payload);
-  if (v2) {
-    Result<int64_t> sequence = ParseInt64(field(2));
-    Result<int64_t> timestamp = ParseInt64(field(3));
-    Result<int64_t> promise_id = ParseInt64(field(4));
-    if (!sequence.ok() || !timestamp.ok() || !promise_id.ok()) {
-      return ParseStatus::kBadRecord;
-    }
-    if (OperationLog::RecordChecksum(body.size(),
-                                     static_cast<uint64_t>(*sequence),
-                                     *timestamp,
-                                     static_cast<uint64_t>(*promise_id),
-                                     body) !=
-        static_cast<uint32_t>(*checksum)) {
-      return ParseStatus::kBadRecord;
-    }
-    // Sequence regression means the tail was written against a state
-    // recovery cannot have reached; treat it as corruption.
-    if (static_cast<uint64_t>(*sequence) <= prev_sequence) {
-      return ParseStatus::kSequenceRegression;
-    }
-    out->sequence = static_cast<uint64_t>(*sequence);
-    out->timestamp = *timestamp;
-    out->promise_id = static_cast<uint64_t>(*promise_id);
-  } else {
-    Result<int64_t> timestamp = ParseInt64(field(2));
-    if (!timestamp.ok()) return ParseStatus::kBadRecord;
-    if (OperationLog::Checksum(body) != static_cast<uint32_t>(*checksum)) {
-      return ParseStatus::kBadRecord;
-    }
-    // v1 records predate explicit sequencing: number them by position
-    // from the scan's sequence base (0 for a whole log, the marker
-    // LSN for a compacted tail).
-    out->sequence = prev_sequence + 1;
-    out->timestamp = *timestamp;
-    out->promise_id = 0;
+  if (OperationLog::RecordChecksum(body.size(),
+                                   static_cast<uint64_t>(*sequence),
+                                   *timestamp,
+                                   static_cast<uint64_t>(*promise_id),
+                                   body) != static_cast<uint32_t>(*checksum)) {
+    return ParseStatus::kBadRecord;
   }
+  // Sequence regression means the tail was written against a state
+  // recovery cannot have reached; treat it as corruption.
+  if (static_cast<uint64_t>(*sequence) <= prev_sequence) {
+    return ParseStatus::kSequenceRegression;
+  }
+  out->sequence = static_cast<uint64_t>(*sequence);
+  out->timestamp = *timestamp;
+  out->promise_id = static_cast<uint64_t>(*promise_id);
   out->payload = std::move(body);
   return ParseStatus::kOk;
 }
@@ -336,10 +322,29 @@ OperationLog::~OperationLog() { Close(); }
 Status OperationLog::Open(const std::string& path,
                           bool allow_mid_log_corruption) {
   Close();
+  return OpenScanned(path, ScanLog(path, nullptr), allow_mid_log_corruption);
+}
+
+Status OperationLog::Open(const std::string& path, const LogScanStats& scan,
+                          bool allow_mid_log_corruption) {
+  Close();
+  // The caller's scan stands in for a fresh one only while the file is
+  // still the one it read; any change in existence or size rescans.
+  struct stat st {};
+  const bool exists = ::stat(path.c_str(), &st) == 0;
+  if (exists != scan.exists ||
+      (exists && static_cast<size_t>(st.st_size) != scan.total_bytes)) {
+    return OpenScanned(path, ScanLog(path, nullptr), allow_mid_log_corruption);
+  }
+  return OpenScanned(path, scan, allow_mid_log_corruption);
+}
+
+Status OperationLog::OpenScanned(const std::string& path,
+                                 const LogScanStats& scan,
+                                 bool allow_mid_log_corruption) {
   // Truncate any torn tail before appending: a record written after a
   // partial line would be unreachable to recovery (the scan stops at
   // the tear), silently losing committed operations.
-  LogScanStats scan = ScanLog(path, nullptr);
   if (scan.exists && scan.valid_beyond_stop && !allow_mid_log_corruption) {
     return Status::DataLoss(
         "log '" + path + "' scan stopped (" +

@@ -5,12 +5,13 @@
 // reproduction's in-memory substitute regains the D through logical
 // command logging: every state-changing client operation that the
 // promise manager commits is appended to the log as (sequence,
-// timestamp, promise id, envelope XML). Recovery replays the commands
-// in sequence order against a fresh world under a simulated clock
-// pinned to the logged timestamps, which reproduces grants, releases,
-// actions, atomic updates AND lazy expiry decisions deterministically
-// (each record carries the promise id its operation consumed, so
-// replayed ids match even when allocation raced at runtime).
+// timestamp, promise id, command record). Recovery replays the
+// commands in sequence order against a fresh world under a simulated
+// clock pinned to the logged timestamps, which reproduces grants,
+// releases, actions, atomic updates AND lazy expiry decisions
+// deterministically (each record carries the promise id its operation
+// consumed, so replayed ids match even when allocation raced at
+// runtime).
 //
 // Durability is decoupled from ordering via classic WAL group commit:
 // AppendOperation() is the sequencing point — it assigns the log
@@ -21,24 +22,24 @@
 // degrade to the synchronous per-record path, which stays the
 // drop-to-sync fallback when the writer fails.
 //
-// Record format (one line per record), current version:
+// Record format (one line per record):
 //   v2|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>
-// The checksum covers length, sequence, timestamp, promise id AND
-// payload (a corrupted header field fails verification, unlike v1
-// whose checksum covered the payload only). Lines without the "v2|"
-// prefix are parsed as the v1 format <length>|<checksum>|<timestamp>|
-// <payload>, so logs written before group commit still replay. Torn
-// tails (partial final line, checksum mismatch, sequence regression)
-// are truncated on open, mimicking WAL recovery semantics.
+// The checksum (FNV-1a) covers length, sequence, timestamp, promise id
+// AND payload, so a corrupted header field fails verification. The
+// payload must not contain '\n'; the promise manager's payloads are
+// compact command records (core/command_record.h), which escape the
+// newlines their fields may hold. A line that does not start with
+// "v2|" is a bad record. Torn tails (partial final line, checksum
+// mismatch, sequence regression) are truncated on open, mimicking WAL
+// recovery semantics.
 //
 // Compaction: once a durable checkpoint covers the prefix up to LSN C,
 // TruncateBefore(C) atomically rewrites the file as
 //   trunc|<lsn>|<timestamp>|<watermark>|<checksum>
 // followed by the surviving tail records byte-for-byte. The marker is
 // honored only at file offset zero; it seeds the scanner's sequence
-// base (so v1 tail records renumber from C, not 0), the last-record
-// timestamp and the promise-id watermark, making a compacted log
-// self-describing.
+// base, the last-record timestamp and the promise-id watermark, making
+// a compacted log self-describing.
 
 #ifndef PROMISES_CORE_OPLOG_H_
 #define PROMISES_CORE_OPLOG_H_
@@ -60,15 +61,18 @@ namespace promises {
 
 struct LogRecord {
   Timestamp timestamp = 0;
-  std::string payload;  ///< compact envelope XML
-  /// Log sequence number (1-based, strictly increasing). v1 records
-  /// are numbered by file position during the scan.
+  /// The logged operation, single-line. For the promise manager a
+  /// compact command record (EncodeCommandRecord and friends in
+  /// core/command_record.h): what replay needs to re-execute the
+  /// operation, without any transport-only header.
+  std::string payload;
+  /// Log sequence number (1-based, strictly increasing).
   uint64_t sequence = 0;
   /// Promise id consumed by the logged operation, 0 when the
-  /// operation did not allocate one (releases, external events, v1
-  /// records). Replay pins the id generator to this value so ids
-  /// match the original run even when allocation order differed from
-  /// log order under striped concurrency.
+  /// operation did not allocate one (releases, external events).
+  /// Replay pins the operation's grant to this id so ids match the
+  /// original run even when allocation order differed from log order
+  /// under striped concurrency.
   uint64_t promise_id = 0;
 };
 
@@ -166,6 +170,12 @@ class OperationLog {
   /// stop point) Open refuses with kDataLoss rather than destroy the
   /// evidence, unless `allow_mid_log_corruption` is set.
   Status Open(const std::string& path, bool allow_mid_log_corruption = false);
+  /// Open for a caller that has just scanned `path` itself (recovery's
+  /// ReadForRecovery): reuses `scan` instead of reading the file a
+  /// second time. Rescans when the file's existence or size no longer
+  /// matches the scan.
+  Status Open(const std::string& path, const LogScanStats& scan,
+              bool allow_mid_log_corruption = false);
   void Close();
   bool IsOpen() const;
 
@@ -257,10 +267,10 @@ class OperationLog {
       const std::string& path, LogScanStats* stats,
       bool allow_mid_log_corruption = false);
 
-  /// v1 checksum: FNV-1a over the payload only. Kept for reading old
-  /// logs and for tests that craft v1 records.
+  /// FNV-1a over `payload` (the compaction marker's and the
+  /// checkpoint file's checksum).
   static uint32_t Checksum(const std::string& payload);
-  /// v2 checksum: FNV-1a folded over length, sequence, timestamp,
+  /// Record checksum: FNV-1a folded over length, sequence, timestamp,
   /// promise id and payload, so a corrupted header field is caught.
   static uint32_t RecordChecksum(size_t length, uint64_t sequence,
                                  Timestamp timestamp, uint64_t promise_id,
@@ -275,6 +285,10 @@ class OperationLog {
     Timestamp enqueued_at = 0;
   };
 
+  // Open's tail after the scan: refuses mid-log corruption, truncates
+  // a torn tail and resumes sequencing past the last intact record.
+  Status OpenScanned(const std::string& path, const LogScanStats& scan,
+                     bool allow_mid_log_corruption);
   static std::string EncodeRecord(uint64_t sequence, Timestamp timestamp,
                                   uint64_t promise_id,
                                   const std::string& payload);

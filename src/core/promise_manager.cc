@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/string_util.h"
+#include "core/command_record.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/delegation_engine.h"
@@ -18,13 +19,20 @@ namespace promises {
 
 namespace {
 
-// Parallel tail replay re-executes records on worker threads; each
-// record must consume the exact promise id it consumed originally even
-// though the generator would hand ids out in worker-arrival order.
-// A worker pins the record's id here before calling Handle; GrantLocked
-// consumes it instead of the generator. Thread-local, so concurrent
-// workers cannot steal each other's ids.
-thread_local uint64_t tls_forced_promise_id = 0;
+// Set while ReplayRecord re-executes one logged record on this thread.
+// The operation runs pre-serialized (replay is the manager's only
+// writer, and parallel replay splits the log into components that
+// share no class or promise); its grant consumes the record's promise
+// id instead of the generator's next one, because the generator would
+// hand ids out in replay order, not in the runtime's allocation order;
+// a reply it remembers for deduplication is tagged with the record's
+// LSN. Thread-local, so concurrent replay workers cannot steal each
+// other's ids.
+struct ReplayPin {
+  uint64_t promise_id = 0;
+  uint64_t lsn = 0;
+};
+thread_local ReplayPin* tls_replay = nullptr;
 
 }  // namespace
 
@@ -130,8 +138,11 @@ Result<std::unique_ptr<Transaction>> PromiseManager::BeginOperation(
   // Lock() calls only record the write set) and the planned closure is
   // checked against the partition instead — escaping it is a miss the
   // executor retries in the epoch's serial phase.
+  // Replay is pre-serialized as well: it is the manager's only writer.
   std::unique_ptr<Transaction> txn =
-      tls_epoch_ != nullptr ? tm_->BeginPreSerialized() : tm_->Begin();
+      tls_epoch_ != nullptr || tls_replay != nullptr
+          ? tm_->BeginPreSerialized()
+          : tm_->Begin();
   if (whole_manager) {
     PROMISES_RETURN_IF_ERROR(txn->Lock(RootKey(), LockMode::kExclusive));
     scope->whole_manager = true;
@@ -300,8 +311,36 @@ Status PromiseManager::ExpireDueLocked(Transaction* txn,
     PROMISES_RETURN_IF_ERROR(
         ReleaseOneLocked(txn, id, PromiseState::kExpired));
     stats_.expired.fetch_add(1, std::memory_order_relaxed);
+    LapseFulfilledGrant(txn, id);
   }
   return Status::OK();
+}
+
+std::pair<ClientId, GrantOutcome> PromiseManager::TakeFulfilledLocked(
+    FulfilledMap::iterator it) {
+  std::pair<ClientId, GrantOutcome> entry = std::move(it->second);
+  if (entry.second.accepted) fulfilled_grants_.erase(entry.second.promise_id);
+  fulfilled_.erase(it);
+  return entry;
+}
+
+void PromiseManager::LapseFulfilledGrant(Transaction* txn, PromiseId id) {
+  std::lock_guard<std::mutex> lk(pending_mu_);
+  auto git = fulfilled_grants_.find(id);
+  if (git == fulfilled_grants_.end()) return;
+  const PendingTicket ticket = git->second;
+  fulfilled_grants_.erase(git);
+  GrantOutcome& outcome = fulfilled_[ticket].second;
+  GrantOutcome granted = outcome;
+  outcome = GrantOutcome{};
+  outcome.reason = "promise-expired: " + id.ToString() +
+                   " lapsed before ticket " + std::to_string(ticket) +
+                   " was polled";
+  txn->PushUndo([this, ticket, id, granted] {
+    std::lock_guard<std::mutex> undo_lk(pending_mu_);
+    fulfilled_[ticket].second = granted;
+    fulfilled_grants_[id] = ticket;
+  });
 }
 
 Status PromiseManager::DrainPendingScoped(Transaction* txn,
@@ -361,6 +400,7 @@ Status PromiseManager::DrainPendingScoped(Transaction* txn,
     }
     if (out->accepted) {
       std::lock_guard<std::mutex> lk(pending_mu_);
+      fulfilled_grants_[out->promise_id] = req.ticket;
       fulfilled_[req.ticket] = {req.client, std::move(*out)};
     } else {
       // Best-effort FIFO: an ungrantable head does not block smaller
@@ -445,8 +485,7 @@ Result<PromiseManager::QueuedOutcome> PromiseManager::PollPending(
         return Status::FailedPrecondition("ticket belongs to another client");
       }
       QueuedOutcome out;
-      out.outcome = std::move(it->second.second);
-      fulfilled_.erase(it);
+      out.outcome = TakeFulfilledLocked(it).second;
       return out;
     }
     for (const PendingRequest& req : pending_) {
@@ -483,8 +522,7 @@ Status PromiseManager::CancelPending(ClientId client, PendingTicket ticket) {
     }
     auto it = fulfilled_.find(ticket);
     if (it != fulfilled_.end() && it->second.first == client) {
-      fulfilled_out = std::move(it->second.second);
-      fulfilled_.erase(it);
+      fulfilled_out = TakeFulfilledLocked(it).second;
       was_fulfilled = true;
     }
   }
@@ -638,9 +676,9 @@ Result<GrantOutcome> PromiseManager::GrantLocked(
   DurationMs granted_duration = std::min(requested, config_.max_duration_ms);
 
   PromiseRecord record;
-  if (tls_forced_promise_id != 0) {
-    record.id = PromiseId(tls_forced_promise_id);
-    tls_forced_promise_id = 0;
+  if (tls_replay != nullptr && tls_replay->promise_id != 0) {
+    record.id = PromiseId(tls_replay->promise_id);
+    tls_replay->promise_id = 0;
   } else {
     record.id = promise_ids_.Next();
   }
@@ -861,7 +899,7 @@ Result<GrantOutcome> PromiseManager::RequestPromise(
     req.duration_ms = duration_ms;
     req.release_on_grant = release_on_grant;
     env.promise_request = std::move(req);
-    log_payload = env.ToXml();
+    log_payload = EncodeCommandRecord(env);
   }
   PROMISES_ASSIGN_OR_RETURN(
       GrantOutcome out,
@@ -918,7 +956,7 @@ Status PromiseManager::Release(ClientId client,
     env.from = NameOf(client);
     env.to = config_.name;
     env.release = ReleaseHeader{ids};
-    ticket = LogOperation(env.ToXml());
+    ticket = LogOperation(EncodeCommandRecord(env));
   }
   PROMISES_RETURN_IF_ERROR(txn->Commit());
   PROMISES_RETURN_IF_ERROR(AwaitLogDurable(ticket));
@@ -953,7 +991,7 @@ Result<ActionOutcome> PromiseManager::Execute(ClientId client,
     log_env.to = config_.name;
     log_env.environment = env;
     log_env.action = action;
-    ticket = LogOperation(log_env.ToXml());
+    ticket = LogOperation(EncodeCommandRecord(log_env));
   }
   PROMISES_RETURN_IF_ERROR(txn->Commit());
   PROMISES_RETURN_IF_ERROR(AwaitLogDurable(ticket));
@@ -1065,42 +1103,62 @@ Status PromiseManager::AttachLog(OperationLog* log) {
   return Status::OK();
 }
 
+std::vector<bool> PromiseManager::DedupWindow(
+    const std::vector<LogRecord>& records) const {
+  std::vector<bool> window(records.size(), false);
+  if (config_.dedup_capacity == 0) return window;
+  std::set<DedupKey> seen;
+  for (size_t i = records.size();
+       i-- > 0 && seen.size() < config_.dedup_capacity;) {
+    DedupKey key;
+    if (!PeekCommandSender(records[i].payload, &key.first, &key.second)) {
+      continue;
+    }
+    // Handle's eligibility rule: a sender and a valid message id.
+    if (key.first.empty() || key.second == 0) continue;
+    window[i] = seen.insert(std::move(key)).second;
+  }
+  return window;
+}
+
+Status PromiseManager::ReplayRecord(const LogRecord& record,
+                                    const CommandRecord& command,
+                                    bool remember_reply) {
+  ReplayPin pin{record.promise_id, record.sequence};
+  tls_replay = &pin;
+  Status st;
+  switch (command.kind) {
+    case CommandRecord::Kind::kEnvelope: {
+      const Envelope& env = command.envelope;
+      DedupKey key{env.from, env.message_id.value()};
+      st = HandleInner(env, remember_reply ? &key : nullptr).status();
+      break;
+    }
+    case CommandRecord::Kind::kDamage:
+      st = ReportExternalDamage(command.cls, command.quantity).status();
+      break;
+    case CommandRecord::Kind::kLose:
+      st = ReportInstanceLost(command.cls, command.instance).status();
+      break;
+  }
+  tls_replay = nullptr;
+  return st;
+}
+
 Status PromiseManager::ReplayLog(const std::vector<LogRecord>& records,
                                  SimulatedClock* clock) {
   if (oplog_.load(std::memory_order_acquire) != nullptr) {
     return Status::FailedPrecondition("detach the log before replaying");
   }
+  const std::vector<bool> remember = DedupWindow(records);
   uint64_t max_promise_id = 0;
-  for (const LogRecord& record : records) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    const LogRecord& record = records[i];
+    PROMISES_ASSIGN_OR_RETURN(CommandRecord command,
+                              DecodeCommandRecord(record.payload));
     clock->AdvanceTo(record.timestamp);
-    // The record carries the promise id its operation consumed at
-    // runtime; pinning the generator reproduces it even though the
-    // original allocation order (under striped concurrency) may not
-    // have matched the log order.
-    if (record.promise_id != 0) {
-      promise_ids_.Pin(record.promise_id);
-      max_promise_id = std::max(max_promise_id, record.promise_id);
-    }
-    if (StartsWith(record.payload, "<")) {
-      PROMISES_ASSIGN_OR_RETURN(Envelope env,
-                                Envelope::FromXml(record.payload));
-      PROMISES_ASSIGN_OR_RETURN(Envelope reply, Handle(env));
-      (void)reply;  // outcomes replay deterministically
-    } else {
-      // External events: "damage|<cls>|<qty>" / "lose|<cls>|<id>".
-      std::vector<std::string> parts = Split(record.payload, '|');
-      if (parts.size() == 3 && parts[0] == "damage") {
-        PROMISES_ASSIGN_OR_RETURN(int64_t qty, ParseInt64(parts[2]));
-        PROMISES_RETURN_IF_ERROR(
-            ReportExternalDamage(parts[1], qty).status());
-      } else if (parts.size() == 3 && parts[0] == "lose") {
-        PROMISES_RETURN_IF_ERROR(
-            ReportInstanceLost(parts[1], parts[2]).status());
-      } else {
-        return Status::InvalidArgument("unknown log record: " +
-                                       record.payload);
-      }
-    }
+    max_promise_id = std::max(max_promise_id, record.promise_id);
+    PROMISES_RETURN_IF_ERROR(ReplayRecord(record, command, remember[i]));
   }
   // Leave the generator past every replayed id: the last record need
   // not carry the maximum (allocation could run ahead of log order).
@@ -1121,18 +1179,19 @@ Status PromiseManager::ReplayLogParallel(const std::vector<LogRecord>& records,
       "promises_recovery_tail_segments_total");
   tail_records_total->Increment(records.size());
 
-  // Phase 1 (parallel): parse each record and derive its dependency
+  // Phase 1 (parallel): decode each record and derive its dependency
   // footprint — the resource classes it plans (closed under
   // federation) and the promise ids it references or consumed.
   struct Planned {
     const LogRecord* record = nullptr;
-    bool is_envelope = false;
-    Envelope envelope;
+    CommandRecord command;
+    bool remember_reply = false;
     bool barrier = false;
     std::set<std::string> classes;
     std::vector<uint64_t> promise_ids;
   };
   std::vector<Planned> planned(records.size());
+  const std::vector<bool> remember = DedupWindow(records);
   std::atomic<bool> failed{false};
   std::mutex error_mu;
   Status first_error;
@@ -1150,38 +1209,34 @@ Status PromiseManager::ReplayLogParallel(const std::vector<LogRecord>& records,
         if (failed.load(std::memory_order_acquire)) break;
         Planned& p = planned[i];
         p.record = &records[i];
-        const std::string& payload = records[i].payload;
-        if (StartsWith(payload, "<")) {
-          Result<Envelope> env = Envelope::FromXml(payload);
-          if (!env.ok()) {
-            note_error(env.status());
-            break;
-          }
-          p.is_envelope = true;
-          p.envelope = std::move(*env);
+        p.remember_reply = remember[i];
+        Result<CommandRecord> command = DecodeCommandRecord(records[i].payload);
+        if (!command.ok()) {
+          note_error(command.status());
+          break;
+        }
+        p.command = std::move(*command);
+        if (p.command.kind == CommandRecord::Kind::kEnvelope) {
+          const Envelope& env = p.command.envelope;
           // Actions run arbitrary service code (the class-planning
           // heuristic is best-effort) and polls touch the global
           // pending queue: both replay serially, as barriers.
-          p.barrier = p.envelope.action.has_value() ||
-                      p.envelope.poll.has_value();
-          if (p.envelope.promise_request) {
-            for (const Predicate& pred :
-                 p.envelope.promise_request->predicates) {
+          p.barrier = env.action.has_value() || env.poll.has_value();
+          if (env.promise_request) {
+            for (const Predicate& pred : env.promise_request->predicates) {
               p.classes.insert(pred.resource_class());
             }
-            for (PromiseId id :
-                 p.envelope.promise_request->release_on_grant) {
+            for (PromiseId id : env.promise_request->release_on_grant) {
               p.promise_ids.push_back(id.value());
             }
           }
-          if (p.envelope.release) {
-            for (PromiseId id : p.envelope.release->promises) {
+          if (env.release) {
+            for (PromiseId id : env.release->promises) {
               p.promise_ids.push_back(id.value());
             }
           }
-          if (p.envelope.environment) {
-            for (const EnvironmentHeader::Entry& e :
-                 p.envelope.environment->entries) {
+          if (env.environment) {
+            for (const EnvironmentHeader::Entry& e : env.environment->entries) {
               if (e.promise.valid()) p.promise_ids.push_back(e.promise.value());
             }
           }
@@ -1249,31 +1304,11 @@ Status PromiseManager::ReplayLogParallel(const std::vector<LogRecord>& records,
   }
 
   auto replay_one = [&](const Planned& p) -> Status {
-    // Pin logical time and the consumed promise id to this record for
-    // the duration of its re-execution; worker threads replaying other
-    // components concurrently see their own record's time.
+    // Pin logical time to this record for the duration of its
+    // re-execution; worker threads replaying other components
+    // concurrently see their own record's time.
     ScopedTimeOverride time_pin(p.record->timestamp);
-    if (p.record->promise_id != 0) {
-      tls_forced_promise_id = p.record->promise_id;
-    }
-    Status st;
-    if (p.is_envelope) {
-      st = Handle(p.envelope).status();
-    } else {
-      std::vector<std::string> parts = Split(p.record->payload, '|');
-      if (parts.size() == 3 && parts[0] == "damage") {
-        Result<int64_t> qty = ParseInt64(parts[2]);
-        st = qty.ok() ? ReportExternalDamage(parts[1], *qty).status()
-                      : qty.status();
-      } else if (parts.size() == 3 && parts[0] == "lose") {
-        st = ReportInstanceLost(parts[1], parts[2]).status();
-      } else {
-        st = Status::InvalidArgument("unknown log record: " +
-                                     p.record->payload);
-      }
-    }
-    tls_forced_promise_id = 0;
-    return st;
+    return ReplayRecord(*p.record, p.command, p.remember_reply);
   };
 
   // Phases 3+4: split at barriers; within a segment, group records by
@@ -1650,19 +1685,22 @@ Status PromiseManager::RestoreCheckpoint(const CheckpointData& data,
     for (const CheckpointDedupEntry& entry : data.dedup) {
       PROMISES_ASSIGN_OR_RETURN(Envelope reply,
                                 Envelope::FromXml(entry.reply_xml));
-      DedupKey key{entry.from, entry.message_id};
-      if (dedup_completed_
-              .emplace(key, DedupEntry{std::move(reply), entry.lsn})
-              .second) {
-        dedup_fifo_.push_back(key);
-        while (dedup_fifo_.size() > config_.dedup_capacity) {
-          dedup_completed_.erase(dedup_fifo_.front());
-          dedup_fifo_.pop_front();
-        }
-      }
+      RememberReplyLocked(DedupKey{entry.from, entry.message_id},
+                          DedupEntry{std::move(reply), entry.lsn});
     }
   }
   return Status::OK();
+}
+
+bool PromiseManager::RememberReplyLocked(const DedupKey& key,
+                                         DedupEntry entry) {
+  if (!dedup_completed_.emplace(key, std::move(entry)).second) return false;
+  dedup_fifo_.push_back(key);
+  while (dedup_fifo_.size() > config_.dedup_capacity) {
+    dedup_completed_.erase(dedup_fifo_.front());
+    dedup_fifo_.pop_front();
+  }
+  return true;
 }
 
 Result<Envelope> PromiseManager::Handle(const Envelope& request) {
@@ -1771,14 +1809,7 @@ Result<Envelope> PromiseManager::Handle(const Envelope& request) {
     // Logged operations were already inserted (LSN-tagged) at their
     // sequencing point inside HandleInner; this covers the unlogged
     // path (lsn 0: always inside any checkpoint cut).
-    if (reply.ok() && dedup_completed_.count(key) == 0) {
-      dedup_completed_.emplace(key, DedupEntry{*reply, 0});
-      dedup_fifo_.push_back(key);
-      while (dedup_fifo_.size() > config_.dedup_capacity) {
-        dedup_completed_.erase(dedup_fifo_.front());
-        dedup_fifo_.pop_front();
-      }
-    }
+    if (reply.ok()) RememberReplyLocked(key, DedupEntry{*reply, 0});
   }
   return reply;
 }
@@ -1877,10 +1908,11 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
                                : PromiseResultCode::kRejected;
     // §6 'pending': queue an ungrantable request when asked. Not
     // available with an attached log (queued grants bypass the command
-    // stream) or combined with atomic updates.
+    // stream) or combined with atomic updates — nor in replay, whose
+    // records all come from a logged manager that did not queue them.
     if (!out.accepted && pr.queue_if_unavailable &&
         oplog_.load(std::memory_order_acquire) == nullptr &&
-        pr.release_on_grant.empty()) {
+        tls_replay == nullptr && pr.release_on_grant.empty()) {
       resp.result = PromiseResultCode::kPending;
       Timestamp deadline = clock_->Now() + config_.pending_patience_ms;
       std::lock_guard<std::mutex> lk(pending_mu_);
@@ -1908,8 +1940,7 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
       std::lock_guard<std::mutex> lk(pending_mu_);
       auto fit = fulfilled_.find(request.poll->ticket);
       if (fit != fulfilled_.end() && fit->second.first == client) {
-        GrantOutcome out = std::move(fit->second.second);
-        fulfilled_.erase(fit);
+        GrantOutcome out = TakeFulfilledLocked(fit).second;
         resp.result = out.accepted ? PromiseResultCode::kAccepted
                                    : PromiseResultCode::kRejected;
         resp.promise_id = out.promise_id;
@@ -1984,26 +2015,20 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
   PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
   LogTicket ticket;
   if (oplog_.load(std::memory_order_acquire) != nullptr) {
-    ticket = LogOperation(request.ToXml(), consumed_id);
+    ticket = LogOperation(EncodeCommandRecord(request), consumed_id);
   }
   bool dedup_inserted = false;
-  if (dedup_key != nullptr && ticket.log != nullptr &&
-      ticket.enqueue_error.ok()) {
+  const bool logged = ticket.log != nullptr && ticket.enqueue_error.ok();
+  if (dedup_key != nullptr && (logged || tls_replay != nullptr)) {
     // Sequencing-point insert: the reply joins the dedup table tagged
     // with its record's LSN while the stripe locks are still held, so a
     // fuzzy checkpoint's cut filter (lsn <= cut) keeps exactly the
-    // replies whose operations the snapshot covers.
+    // replies whose operations the snapshot covers. Replay tags the
+    // replies it rebuilds with the replayed record's LSN.
     std::lock_guard<std::mutex> lk(dedup_mu_);
-    dedup_inserted =
-        dedup_completed_.emplace(*dedup_key, DedupEntry{reply, ticket.sequence})
-            .second;
-    if (dedup_inserted) {
-      dedup_fifo_.push_back(*dedup_key);
-      while (dedup_fifo_.size() > config_.dedup_capacity) {
-        dedup_completed_.erase(dedup_fifo_.front());
-        dedup_fifo_.pop_front();
-      }
-    }
+    dedup_inserted = RememberReplyLocked(
+        *dedup_key,
+        DedupEntry{reply, logged ? ticket.sequence : tls_replay->lsn});
   }
   Status commit_status = txn->Commit();
   if (!commit_status.ok()) {
@@ -2194,7 +2219,7 @@ Result<std::vector<PromiseId>> PromiseManager::ReportExternalDamage(
       std::move(txn), cls,
       "external damage destroyed " + std::to_string(loss) + " units of '" +
           cls + "'",
-      "damage|" + cls + "|" + std::to_string(quantity_lost));
+      EncodeDamageRecord(cls, quantity_lost));
 }
 
 Result<std::vector<PromiseId>> PromiseManager::ReportInstanceLost(
@@ -2209,7 +2234,7 @@ Result<std::vector<PromiseId>> PromiseManager::ReportInstanceLost(
   return BreakUntilConsistent(std::move(txn), cls,
                               "instance '" + id + "' of '" + cls +
                                   "' was lost",
-                              "lose|" + cls + "|" + id);
+                              EncodeLossRecord(cls, id));
 }
 
 size_t PromiseManager::ExpireDue() {

@@ -86,6 +86,8 @@
 
 namespace promises {
 
+struct CommandRecord;
+
 struct PromiseManagerConfig {
   /// Transport endpoint name of this manager.
   std::string name = "promise-manager";
@@ -391,7 +393,10 @@ class PromiseManager {
   /// manager: the same resource definitions must already be in the RM,
   /// and `clock` must be the manager's own SimulatedClock, which is
   /// advanced to each record's timestamp so expiry decisions replay
-  /// identically. Must be called before AttachLog.
+  /// identically. Must be called before AttachLog. Every record is
+  /// re-executed (each one committed at runtime): no deadline shed, no
+  /// dedup lookup. The idempotency table is rebuilt from the records
+  /// inside its FIFO window, as if every record had been inserted.
   Status ReplayLog(const std::vector<LogRecord>& records,
                    SimulatedClock* clock);
 
@@ -540,6 +545,12 @@ class PromiseManager {
 
   /// Idempotency-table key: sender's protocol name + message id.
   using DedupKey = std::pair<std::string, uint64_t>;
+  struct DedupEntry {
+    Envelope reply;
+    /// LSN of the operation that produced the reply; 0 when it predates
+    /// the log (no-log path, restored legacy entries).
+    uint64_t lsn = 0;
+  };
 
   /// Thread-local context set while HandleInEpoch runs on this
   /// thread: switches BeginOperation to pre-serialized transactions,
@@ -561,8 +572,31 @@ class PromiseManager {
   /// completed-dedup table at the operation's log sequencing point
   /// (inside the stripe locks), tagged with the record's LSN — so a
   /// checkpoint's LSN filter sees exactly the replies at its cut.
+  /// Replay runs logged envelopes through here too (ReplayRecord).
   Result<Envelope> HandleInner(const Envelope& request,
                                const DedupKey* dedup_key);
+
+  /// Inserts a completed reply into the idempotency table unless the
+  /// key is already there, evicting FIFO past dedup_capacity. Returns
+  /// whether it was inserted. dedup_mu_ held.
+  bool RememberReplyLocked(const DedupKey& key, DedupEntry entry);
+
+  /// The one way replay executes a logged operation, shared by
+  /// ReplayLog and ReplayLogParallel: an envelope runs through
+  /// HandleInner as a pre-serialized operation (no lock manager, no
+  /// shed, no dedup lookup) with its grant pinned to the record's
+  /// promise id; external events re-run their whole-manager paths.
+  /// With `remember_reply` the reply joins the idempotency table,
+  /// tagged with the record's LSN. The caller pins logical time.
+  Status ReplayRecord(const LogRecord& record, const CommandRecord& command,
+                      bool remember_reply);
+
+  /// Which records' replies survive in the idempotency table after
+  /// replaying `records`: the last dedup_capacity distinct dedup keys.
+  /// Inserting only these gives the table that inserting every record
+  /// would (each logged key was absent when it ran: a duplicate of a
+  /// remembered reply is answered from the table and never logged).
+  std::vector<bool> DedupWindow(const std::vector<LogRecord>& records) const;
 
   /// Shared tail of the ReportExternal* entry points: breaks promises
   /// on `cls` (newest first) until every engine verifies again, logs
@@ -651,6 +685,20 @@ class PromiseManager {
   /// or re-queues them in ticket (FIFO) order.
   Status DrainPendingScoped(Transaction* txn, const LockScope& scope);
 
+  using FulfilledMap =
+      std::map<PendingTicket, std::pair<ClientId, GrantOutcome>>;
+
+  /// Removes a resolved ticket (and its grant's index entry) and
+  /// returns its owner and outcome. pending_mu_ held.
+  std::pair<ClientId, GrantOutcome> TakeFulfilledLocked(
+      FulfilledMap::iterator it);
+
+  /// Expiry of promise `id`: if it is the grant of a resolved but
+  /// unpolled ticket, the ticket's outcome becomes a rejection naming
+  /// the lapse, so a late poll reports the promise's real state rather
+  /// than `accepted`. Undone with `txn`.
+  void LapseFulfilledGrant(Transaction* txn, PromiseId id);
+
   ViolationHandler violation_handler_;
   // Atomic: read lock-free on every operation's fast path and cleared
   // by whichever concurrent operation first observes a durability
@@ -670,22 +718,20 @@ class PromiseManager {
   };
   mutable std::mutex pending_mu_;
   std::vector<PendingRequest> pending_;  // FIFO (ticket order)
-  std::map<PendingTicket, std::pair<ClientId, GrantOutcome>> fulfilled_;
+  // Resolved tickets awaiting their poll, and the promise of each
+  // granted one (so expiry can lapse a grant nobody collected).
+  FulfilledMap fulfilled_;
+  std::map<PromiseId, PendingTicket> fulfilled_grants_;
   uint64_t next_ticket_ = 1;
 
   // Idempotency table (exactly-once processing). Keyed by the sender's
   // protocol name + message id; holds the full reply envelope so a
   // retry gets a byte-identical answer (same promise id, same result).
-  // Repopulated by ReplayLog, since replay drives the same Handle path
-  // — dedup therefore survives crash recovery. dedup_mu_ is a leaf
+  // Repopulated by ReplayLog, which re-executes the logged envelopes
+  // inside the table's window — dedup therefore survives crash
+  // recovery. dedup_mu_ is a leaf
   // mutex, never held across a whole HandleInner call (HandleInner
   // takes it briefly at its sequencing point).
-  struct DedupEntry {
-    Envelope reply;
-    /// LSN of the operation that produced the reply; 0 when it predates
-    /// the log (no-log path, restored legacy entries).
-    uint64_t lsn = 0;
-  };
   mutable std::mutex dedup_mu_;
   std::map<DedupKey, DedupEntry> dedup_completed_;
   std::deque<DedupKey> dedup_fifo_;  // insertion order, for eviction

@@ -248,7 +248,9 @@ Status ServerLifecycle::Start() {
   }
 
   // Durable spine back online: reopen, restart group commit, attach.
-  Status st = oplog_.Open(OplogPath());
+  // Recovery has just scanned the unchanged log; Open reuses that scan
+  // instead of reading the file a second time.
+  Status st = oplog_.Open(OplogPath(), last_recovery_.manager.scan);
   if (st.ok()) st = oplog_.StartGroupCommit(options_.group_commit, &clock_);
   if (st.ok()) st = pm_->AttachLog(&oplog_);
   if (!st.ok()) {

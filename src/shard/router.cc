@@ -193,19 +193,30 @@ FederatedGrantCoordinator::BuildAgent(uint64_t activity, int shard) {
       popts);
 }
 
-Result<ParticipantId> FederatedGrantCoordinator::MakeAgentLocked(
-    ActivityId activity, int shard) {
-  World& world = worlds_[activity.value()];
-  auto existing = world.enlistments.find(shard);
-  if (existing != world.enlistments.end()) return existing->second;
+Result<ParticipantId> FederatedGrantCoordinator::MakeAgent(ActivityId activity,
+                                                           int shard) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    World& world = worlds_[activity.value()];
+    auto existing = world.enlistments.find(shard);
+    if (existing != world.enlistments.end()) return existing->second;
+  }
+  // Built and registered outside mu_: Register takes the WS-BA
+  // coordinator's mutex, which compensation holds while it calls back
+  // into ReleaseShardGrants (and so into mu_). Taking the two in both
+  // orders could deadlock two concurrent federated grants.
   std::unique_ptr<BusinessActivityParticipant> agent =
       BuildAgent(activity.value(), shard);
   PROMISES_ASSIGN_OR_RETURN(ParticipantId pid,
                             coordinator_.Register(activity, agent->endpoint()));
   agent->Enlist(coordinator_.endpoint(), activity, pid);
-  world.enlistments[shard] = pid;
-  world.agents[shard] = std::move(agent);
-  return pid;
+  std::lock_guard<std::mutex> lock(mu_);
+  World& world = worlds_[activity.value()];
+  auto [it, inserted] = world.enlistments.try_emplace(shard, pid);
+  // Only Grant enlists, one shard at a time per activity, so the slot is
+  // still free; if it were not, the first enlistment stands.
+  if (inserted) world.agents[shard] = std::move(agent);
+  return it->second;
 }
 
 void FederatedGrantCoordinator::NoteResolved(ActivityId activity) {
@@ -266,10 +277,7 @@ Result<RoutedGrant> FederatedGrantCoordinator::Grant(
                                       " out of topology range");
       break;
     }
-    Result<ParticipantId> pid = [&]() -> Result<ParticipantId> {
-      std::lock_guard<std::mutex> lock(mu_);
-      return MakeAgentLocked(activity, shard);
-    }();
+    Result<ParticipantId> pid = MakeAgent(activity, shard);
     if (!pid.ok()) {
       infra = pid.status();
       break;

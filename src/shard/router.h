@@ -205,8 +205,10 @@ class FederatedGrantCoordinator {
   /// (activity, shard) — recovery restores its state separately.
   std::unique_ptr<BusinessActivityParticipant> BuildAgent(uint64_t activity,
                                                           int shard);
-  /// Creates + enlists the agent for (activity, shard). mu_ held.
-  Result<ParticipantId> MakeAgentLocked(ActivityId activity, int shard);
+  /// Creates + enlists the agent for (activity, shard), unless one is
+  /// enlisted already. Takes mu_ itself and never holds it across the
+  /// WS-BA coordinator's Register.
+  Result<ParticipantId> MakeAgent(ActivityId activity, int shard);
   /// Releases every journaled sub-grant of (activity, shard) on the
   /// shard — the compensation/cancel callback. Idempotent: the
   /// manager skips unknown or already-released ids.

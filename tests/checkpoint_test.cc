@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "core/checkpoint.h"
+#include "core/command_record.h"
 #include "core/promise_manager.h"
 #include "obs/metrics.h"
 #include "service/services.h"
@@ -444,73 +445,6 @@ TEST(CheckpointTest, WriterRunOnceInstallsCompactsAndRecovers) {
   EXPECT_NE(second.pm->FindPromise(g->promise_id), nullptr);
 }
 
-// A pre-v2 tail behind a snapshot: v1 records carry no sequence field,
-// so the scanner numbers them by position from its base. Before the
-// trunc marker seeded that base, a v1 record behind a compacted prefix
-// renumbered from 1, landed at-or-below the cut, and tail filtering
-// silently dropped it. Hand-append a v1-format line to a compacted log
-// and require it to sequence past the cut and replay.
-TEST(CheckpointTest, V1TailBehindSnapshotReplays) {
-  TempFile log_file("v1_tail");
-  TempFile ckpt_file("v1_tail_ckpt");
-  WorldParts original;
-  OperationLog log;
-  ASSERT_TRUE(log.Open(log_file.path()).ok());
-  ASSERT_TRUE(original.pm->AttachLog(&log).ok());
-  std::vector<PromiseId> held = RunScriptedHistory(original);
-
-  CheckpointWriter writer(original.pm.get(), &log, ckpt_file.path());
-  auto cut = writer.RunOnce();
-  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
-  ASSERT_EQ(*cut, 4u);
-  log.Close();
-
-  // An old-format writer appends one grant request behind the marker:
-  // "<len>|<checksum>|<timestamp>|<payload>", checksum over the payload
-  // alone, no sequence or promise-id fields.
-  Envelope env;
-  env.message_id = MessageId(0);
-  env.from = "survivor";
-  env.to = "recoverable";
-  PromiseRequestHeader req;
-  req.request_id = RequestId(9);
-  req.predicates.push_back(Predicate::Quantity("stock", CompareOp::kGe, 2));
-  env.promise_request = std::move(req);
-  std::string payload = env.ToXml();
-  ASSERT_EQ(payload.find('\n'), std::string::npos);
-  std::string v1_line = std::to_string(payload.size()) + "|" +
-                        std::to_string(OperationLog::Checksum(payload)) +
-                        "|5|" + payload + "\n";
-  std::string contents = ReadFileOrDie(log_file.path());
-  ASSERT_EQ(contents.rfind("trunc|", 0), 0u);
-  WriteFileOrDie(log_file.path(), contents + v1_line);
-
-  // The marker seeds the scan base, so the v1 record numbers cut+1 —
-  // not 1, which would read as already-checkpointed.
-  LogScanStats stats;
-  auto tail = OperationLog::ReadForRecovery(log_file.path(), &stats);
-  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-  EXPECT_EQ(stats.base_sequence, *cut);
-  ASSERT_EQ(tail->size(), 1u);
-  EXPECT_EQ((*tail)[0].sequence, *cut + 1);
-  EXPECT_EQ((*tail)[0].promise_id, 0u);
-
-  WorldParts recovered;
-  RecoveryReport report;
-  ASSERT_TRUE(RecoverWithCheckpoint(recovered.pm.get(), &recovered.clock,
-                                    ckpt_file.path(), log_file.path(), {},
-                                    &report)
-                  .ok());
-  EXPECT_TRUE(report.used_checkpoint);
-  EXPECT_EQ(report.tail_records, 1u);
-  for (PromiseId id : held) {
-    EXPECT_NE(recovered.pm->FindPromise(id), nullptr);
-  }
-  // The v1 grant replays on top of the snapshot state.
-  EXPECT_EQ(recovered.pm->active_promises(),
-            original.pm->active_promises() + 1);
-}
-
 TEST(CheckpointTest, StaleTmpFromCrashedInstallIsIgnored) {
   TempFile log_file("stale_tmp");
   TempFile ckpt_file("stale_tmp_ckpt");
@@ -793,9 +727,15 @@ TEST(CheckpointTest, ParallelReplayPinsOutOfOrderIds) {
   SimulatedClock clock(0);
   OperationLog log;
   ASSERT_TRUE(log.Open(log_file.path()).ok());
-  ASSERT_TRUE(log.AppendOperation(&clock, make_env(5).ToXml(), 7).ok());
-  ASSERT_TRUE(log.AppendOperation(&clock, make_env(3).ToXml(), 3).ok());
-  ASSERT_TRUE(log.AppendOperation(&clock, make_env(2).ToXml(), 9).ok());
+  ASSERT_TRUE(
+      log.AppendOperation(&clock, EncodeCommandRecord(make_env(5)), 7)
+          .ok());
+  ASSERT_TRUE(
+      log.AppendOperation(&clock, EncodeCommandRecord(make_env(3)), 3)
+          .ok());
+  ASSERT_TRUE(
+      log.AppendOperation(&clock, EncodeCommandRecord(make_env(2)), 9)
+          .ok());
   log.Close();
 
   auto records = OperationLog::ReadAll(log_file.path());

@@ -1,6 +1,6 @@
 // Tests for OperationLog group commit: batching/linger knobs, durable
-// acks, failure poisoning, the v2 full-record checksum + v1 version
-// sniff, and a TSan-targeted multi-writer stress.
+// acks, failure poisoning, the v2 full-record checksum, and a
+// TSan-targeted multi-writer stress.
 
 #include <gtest/gtest.h>
 
@@ -189,12 +189,12 @@ TEST(GroupCommitTest, DropToSyncFallbackAfterWriterStops) {
   EXPECT_EQ(records->size(), 2u);
 }
 
-// --- Record format: v2 checksum coverage + v1 compatibility -------------
+// --- Record format: v2 checksum coverage ---------------------------------
 
 TEST(GroupCommitTest, CorruptedTimestampFieldFailsVerification) {
-  // The v1 checksum covered only the payload, so a flipped digit in
-  // the timestamp header replayed with a wrong clock. v2 folds every
-  // header field into the hash.
+  // A checksum over the payload alone would let a flipped digit in the
+  // timestamp header replay with a wrong clock. v2 folds every header
+  // field into the hash.
   TempLogFile file("hdr_corrupt");
   {
     OperationLog log;
@@ -220,43 +220,6 @@ TEST(GroupCommitTest, CorruptedTimestampFieldFailsVerification) {
   records = OperationLog::ReadAll(file.path());
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 0u);  // header tampering is detected
-}
-
-TEST(GroupCommitTest, V1RecordsStillReplayBehindVersionSniff) {
-  TempLogFile file("v1_compat");
-  // Hand-craft two v1-format records (payload-only checksum), as an
-  // old binary would have written them.
-  std::string p1 = "<old-grant/>";
-  std::string p2 = "damage|stock|3";
-  std::FILE* f = std::fopen(file.path().c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "%zu|%u|%d|%s\n", p1.size(), OperationLog::Checksum(p1),
-               100, p1.c_str());
-  std::fprintf(f, "%zu|%u|%d|%s\n", p2.size(), OperationLog::Checksum(p2),
-               250, p2.c_str());
-  std::fclose(f);
-
-  auto records = OperationLog::ReadAll(file.path());
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0].payload, p1);
-  EXPECT_EQ((*records)[0].timestamp, 100);
-  EXPECT_EQ((*records)[0].sequence, 1u);  // numbered by position
-  EXPECT_EQ((*records)[0].promise_id, 0u);
-  EXPECT_EQ((*records)[1].sequence, 2u);
-
-  // A new binary continuing an old log writes v2 records after the v1
-  // prefix, with the sequence resuming past it.
-  {
-    OperationLog log;
-    ASSERT_TRUE(log.Open(file.path()).ok());
-    ASSERT_TRUE(log.Append(300, "<new-grant/>").ok());
-  }
-  records = OperationLog::ReadAll(file.path());
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 3u);
-  EXPECT_EQ((*records)[2].sequence, 3u);
-  EXPECT_EQ((*records)[2].payload, "<new-grant/>");
 }
 
 TEST(GroupCommitTest, SequenceRegressionEndsScan) {

@@ -147,6 +147,42 @@ TEST_F(PendingTest, CancelWhileQueuedAndAfterFulfilment) {
   EXPECT_EQ(pm_->active_promises(), 0u);
 }
 
+TEST_F(PendingTest, LatePollAfterExpiryReportsTheLapse) {
+  auto held = Queue(alice_, 10);
+  ASSERT_TRUE(held.ok() && held->outcome.accepted);
+  auto first = Queue(bob_, 4);
+  auto second = Queue(bob_, 4);
+  ASSERT_TRUE(first.ok() && first->queued);
+  ASSERT_TRUE(second.ok() && second->queued);
+  // The release grants both tickets; nobody polls them.
+  ASSERT_TRUE(pm_->Release(alice_, {held->outcome.promise_id}).ok());
+  EXPECT_EQ(pm_->active_promises(), 2u);
+  clock_.Advance(61'000);  // past the 60 s default duration
+  EXPECT_EQ(pm_->ExpireDue(), 2u);
+  EXPECT_EQ(pm_->active_promises(), 0u);
+
+  // Direct poll: the ticket resolves to the lapse, not to `accepted`.
+  auto poll = pm_->PollPending(bob_, first->ticket);
+  ASSERT_TRUE(poll.ok());
+  EXPECT_FALSE(poll->queued);
+  EXPECT_FALSE(poll->outcome.accepted);
+  EXPECT_NE(poll->outcome.reason.find("promise-expired"), std::string::npos)
+      << poll->outcome.reason;
+  EXPECT_TRUE(pm_->PollPending(bob_, first->ticket).status().IsNotFound());
+
+  // Wire poll: the <promise-response> says rejected, with the reason.
+  Envelope env;
+  env.from = "bob";
+  env.to = "pending-pm";
+  env.poll = PollHeader{second->ticket};
+  auto reply = pm_->Handle(env);
+  ASSERT_TRUE(reply.ok());
+  ASSERT_TRUE(reply->promise_response.has_value());
+  EXPECT_EQ(reply->promise_response->result, PromiseResultCode::kRejected);
+  EXPECT_NE(reply->promise_response->reason.find("promise-expired"),
+            std::string::npos);
+}
+
 TEST_F(PendingTest, TicketOwnershipEnforced) {
   auto held = Queue(alice_, 10);
   auto waiting = Queue(bob_, 2);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/command_record.h"
 #include "core/promise_manager.h"
 #include "obs/metrics.h"
 #include "service/services.h"
@@ -120,6 +121,40 @@ int64_t FileSize(const std::string& path) {
   long size = std::ftell(f);
   std::fclose(f);
   return size;
+}
+
+TEST(OperationLogTest, OpenReusesTheCallersScanUnlessTheFileChanged) {
+  TempLogFile file("reuse_scan");
+  {
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path()).ok());
+    ASSERT_TRUE(log.Append(1, "<a/>").ok());
+    ASSERT_TRUE(log.Append(2, "<b/>").ok());
+  }
+  LogScanStats scan;
+  ASSERT_TRUE(OperationLog::ReadForRecovery(file.path(), &scan).ok());
+  {
+    // Unchanged file: sequencing resumes from the caller's scan.
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path(), scan).ok());
+    auto cut = log.CutPoint();
+    ASSERT_TRUE(cut.ok());
+    EXPECT_EQ(cut->sequence, 2u);
+    EXPECT_EQ(cut->last_timestamp, 2);
+    ASSERT_TRUE(log.Append(3, "<c/>").ok());
+  }
+  {
+    // The file grew since `scan`: Open scans it again rather than
+    // reuse a scan that would renumber from 3.
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path(), scan).ok());
+    ASSERT_TRUE(log.Append(4, "<d/>").ok());
+  }
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 4u);
+  EXPECT_EQ((*records)[3].sequence, 4u);
+  EXPECT_EQ((*records)[3].payload, "<d/>");
 }
 
 TEST(OperationLogTest, InjectedTornWriteIsTruncatedOnReopen) {
@@ -723,6 +758,102 @@ TEST(RecoveryTest, DedupRepliesSurviveGroupCommitRecovery) {
   EXPECT_EQ(recovered.pm->active_promises(), 1u);
 }
 
+// An operation checks its deadline once, on entry. One that passes the
+// check and then commits at or after the deadline is committed and
+// logged; replay pins the clock to the record's (later) timestamp, so
+// a replay that re-applied the shed would silently drop it.
+TEST(RecoveryTest, ReplayKeepsOperationsThatCommittedPastTheirDeadline) {
+  TempLogFile file("deadline");
+  // A service that takes 10 ms of simulated time.
+  auto slow_service = [](SimulatedClock* clock) -> ServiceFn {
+    return [clock](ActionContext*, const std::string&,
+                   const std::map<std::string, Value>&)
+               -> Result<std::map<std::string, Value>> {
+      clock->Advance(10);
+      return std::map<std::string, Value>{};
+    };
+  };
+  Envelope env;
+  env.message_id = MessageId(7);
+  env.from = "survivor";
+  env.to = "recoverable";
+  env.deadline = 5;  // live at entry (t=0), passed at commit (t=10)
+  PromiseRequestHeader req;
+  req.request_id = RequestId(1);
+  req.predicates.push_back(Predicate::Quantity("stock", CompareOp::kGe, 5));
+  env.promise_request = std::move(req);
+  env.action = ActionBody{"slow", "work", {}};
+
+  PromiseId granted;
+  {
+    WorldParts original;
+    original.pm->RegisterService("slow", slow_service(&original.clock));
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path()).ok());
+    ASSERT_TRUE(original.pm->AttachLog(&log).ok());
+    auto reply = original.pm->Handle(env);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->promise_response.has_value());
+    ASSERT_EQ(reply->promise_response->result, PromiseResultCode::kAccepted);
+    ASSERT_TRUE(reply->action_result.has_value() && reply->action_result->ok);
+    granted = reply->promise_response->promise_id;
+    EXPECT_EQ(original.pm->active_promises(), 1u);
+    log.Close();
+  }
+
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].timestamp, 10);
+
+  WorldParts recovered;
+  recovered.pm->RegisterService("slow", slow_service(&recovered.clock));
+  ASSERT_TRUE(recovered.pm->ReplayLog(*records, &recovered.clock).ok());
+  EXPECT_EQ(recovered.pm->active_promises(), 1u);
+  EXPECT_NE(recovered.pm->FindPromise(granted), nullptr);
+  EXPECT_EQ(recovered.pm->stats().deadline_sheds, 0u);
+}
+
+// A logged manager never queues (§6 'pending' does not compose with the
+// log), so a logged request that asked to queue was simply rejected.
+// Replay runs without a log attached and must not queue it either: a
+// queued request would also keep the recovered manager from attaching
+// its log again.
+TEST(RecoveryTest, ReplayDoesNotQueueARequestTheRuntimeRejected) {
+  TempLogFile file("no_queue");
+  Envelope env;
+  env.message_id = MessageId(3);
+  env.from = "survivor";
+  env.to = "recoverable";
+  PromiseRequestHeader req;
+  req.request_id = RequestId(1);
+  req.predicates.push_back(Predicate::Quantity("stock", CompareOp::kGe, 500));
+  req.queue_if_unavailable = true;
+  env.promise_request = std::move(req);
+  {
+    WorldParts original;
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path()).ok());
+    ASSERT_TRUE(original.pm->AttachLog(&log).ok());
+    auto reply = original.pm->Handle(env);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->promise_response.has_value());
+    EXPECT_EQ(reply->promise_response->result, PromiseResultCode::kRejected);
+    EXPECT_EQ(original.pm->pending_requests(), 0u);
+    log.Close();
+  }
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+
+  WorldParts recovered;
+  ASSERT_TRUE(recovered.pm->ReplayLog(*records, &recovered.clock).ok());
+  EXPECT_EQ(recovered.pm->pending_requests(), 0u);
+  OperationLog reopened;
+  ASSERT_TRUE(reopened.Open(file.path()).ok());
+  EXPECT_TRUE(recovered.pm->AttachLog(&reopened).ok());
+}
+
 TEST(RecoveryTest, ReplayPinsPromiseIdsRecordedOutOfOrder) {
   TempLogFile file("pin");
   // Under striped concurrency the allocation order can differ from the
@@ -743,8 +874,12 @@ TEST(RecoveryTest, ReplayPinsPromiseIdsRecordedOutOfOrder) {
   SimulatedClock clock(0);
   OperationLog log;
   ASSERT_TRUE(log.Open(file.path()).ok());
-  ASSERT_TRUE(log.AppendOperation(&clock, make_env(5).ToXml(), 7).ok());
-  ASSERT_TRUE(log.AppendOperation(&clock, make_env(3).ToXml(), 3).ok());
+  ASSERT_TRUE(
+      log.AppendOperation(&clock, EncodeCommandRecord(make_env(5)), 7)
+          .ok());
+  ASSERT_TRUE(
+      log.AppendOperation(&clock, EncodeCommandRecord(make_env(3)), 3)
+          .ok());
   log.Close();
 
   auto records = OperationLog::ReadAll(file.path());
